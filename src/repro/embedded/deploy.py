@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from ..exceptions import DeploymentError
-from ..fft import rfft
+from ..fft import irfft, rfft
 from ..nn.layers import (
     AvgPool2d,
     BatchNorm1d,
@@ -67,9 +67,13 @@ from ..nn.layers import (
 from ..nn.module import Sequential
 from ..runtime import InferenceSession
 from ..runtime.session import iter_batches as _iter_batches
+from ..runtime.session import max_pool as _max_pool
 from ..runtime.session import pool_windows as _pool_windows
 from ..runtime.session import softmax as _softmax
-from ..structured import block_circulant_forward_batch
+from ..structured import (
+    block_circulant_conv_spectra,
+    block_circulant_forward_batch,
+)
 from ..nn.functional import im2col
 
 __all__ = ["DeployedModel", "FORMAT_VERSION", "LEGACY_FORMAT_VERSION"]
@@ -392,26 +396,16 @@ class DeployedModel:
         if kind == "bc_conv":
             spectra = record["spectra"].astype(np.complex128)
             b = record["block_size"]
-            k = record["kernel_size"]
-            stride, padding = record["stride"], record["padding"]
-            in_c, out_c = record["in_channels"], record["out_channels"]
-            channel_blocks = record["channel_blocks"]
-            batch, _, height, width = x.shape
-            out_h = (height + 2 * padding - k) // stride + 1
-            out_w = (width + 2 * padding - k) // stride + 1
-            positions = out_h * out_w
-            cols = im2col(x, k, stride, padding)
-            by_pos = cols.reshape(batch, positions, in_c, k * k).transpose(0, 1, 3, 2)
-            padded_c = channel_blocks * b
-            if padded_c != in_c:
-                padded = np.zeros((batch, positions, k * k, padded_c))
-                padded[..., :in_c] = by_pos
-                by_pos = padded
-            blocks = by_pos.reshape(batch * positions, -1, b)
-            out = block_circulant_forward_batch(spectra, blocks)
-            out = out.reshape(batch * positions, -1)[:, :out_c]
-            out = out.reshape(batch, positions, out_c).transpose(0, 2, 1)
-            out = out.reshape(batch, out_c, out_h, out_w)
+            out_c = record["out_channels"]
+            x_fm, out_h, out_w = block_circulant_conv_spectra(
+                x, record["kernel_size"], record["stride"],
+                record["padding"], b, record["channel_blocks"],
+            )
+            y_fm = np.matmul(spectra.transpose(2, 0, 1), x_fm)
+            out = irfft(y_fm.transpose(2, 1, 0), n=b)
+            out = out.reshape(out.shape[0], -1)[:, :out_c]
+            out = out.reshape(x.shape[0], out_h * out_w, out_c)
+            out = out.transpose(0, 2, 1).reshape(x.shape[0], out_c, out_h, out_w)
             if record["bias"] is not None:
                 out = out + record["bias"].astype(np.float64)[None, :, None, None]
             return out
@@ -428,12 +422,7 @@ class DeployedModel:
         if kind == "flatten":
             return x.reshape(x.shape[0], -1)
         if kind == "maxpool":
-            windows, out_h, out_w = _pool_windows(
-                x, record["kernel"], record["stride"]
-            )
-            return windows.max(axis=-1).reshape(
-                x.shape[0], x.shape[1], out_h, out_w
-            )
+            return _max_pool(x, record["kernel"], record["stride"])
         if kind == "avgpool":
             windows, out_h, out_w = _pool_windows(
                 x, record["kernel"], record["stride"]

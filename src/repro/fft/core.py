@@ -11,19 +11,22 @@ while float32 / complex64 input produces complex64 spectra and float32
 inverse transforms — the contract the fp32 inference mode
 (:class:`repro.precision.PrecisionPolicy`) relies on.  The pure backend
 runs its butterflies, chirps and packed real transforms *natively* in
-single precision (half the memory traffic); ``numpy.fft`` computes
-internally in double regardless, so the numpy backend rounds its result
-once on the way out — same dtype contract, double-precision arithmetic.
+single precision (half the memory traffic).  ``numpy.fft`` (numpy >= 2)
+also transforms float32 input natively and returns single-precision
+results, so the numpy backend's cast is a no-op (``copy=False``); older
+numpy computes in double and the cast rounds once on the way out.
 
 **Destination buffers.**  :func:`rfft` and :func:`irfft` accept an
 ``out=`` array shaped and typed like the result (with the transformed
 axis wherever ``axis`` says).  The workspace-arena execution path uses
 this for buffer-stable results: on the pure backend the packed real
-paths write their final unpack stage straight into ``out``; the numpy
-backend cannot hand ``numpy.fft`` a destination, so the result is
-computed normally and copied into ``out`` once.  Either way the returned
-array *is* ``out`` and the values are bitwise-identical to the
-``out=None`` call.
+paths write their final unpack stage straight into ``out``.  The numpy
+backend hands :func:`rfft`'s ``out`` to ``numpy.fft.rfft`` (numpy >= 2),
+which writes each transformed line there directly, strided or not;
+:func:`irfft` computes normally and copies into ``out`` once (numpy's
+``out=`` path is slow on the strided spectra the GEMMs produce).
+Either way the returned array *is* ``out`` and the values are
+bitwise-identical to the ``out=None`` call.
 """
 
 from __future__ import annotations
@@ -188,7 +191,7 @@ def fft(x: np.ndarray, n: int | None = None, axis: int = -1) -> np.ndarray:
     if get_backend() == "numpy":
         result = np.fft.fft(moved, axis=-1)
         if single:
-            result = result.astype(np.complex64)
+            result = result.astype(np.complex64, copy=False)
     else:
         cdtype = np.complex64 if single else np.complex128
         result = _pure_fft(np.asarray(moved, dtype=cdtype), inverse=False)
@@ -202,7 +205,7 @@ def ifft(x: np.ndarray, n: int | None = None, axis: int = -1) -> np.ndarray:
     if get_backend() == "numpy":
         result = np.fft.ifft(moved, axis=-1)
         if single:
-            result = result.astype(np.complex64)
+            result = result.astype(np.complex64, copy=False)
     else:
         length = moved.shape[-1]
         cdtype = np.complex64 if single else np.complex128
@@ -237,12 +240,12 @@ def rfft(
             out, moved.shape[:-1] + (bins,), cdtype, axis
         )
     if get_backend() == "numpy":
+        if out_moved is not None:
+            np.fft.rfft(moved, axis=-1, out=out_moved)
+            return out
         result = np.fft.rfft(moved, axis=-1)
         if single:
-            result = result.astype(np.complex64)
-        if out_moved is not None:
-            np.copyto(out_moved, result)
-            return out
+            result = result.astype(np.complex64, copy=False)
     else:
         rdtype = np.float32 if single else np.float64
         result = _pure_rfft(np.asarray(moved, dtype=rdtype), out=out_moved)
@@ -284,7 +287,7 @@ def irfft(
     if get_backend() == "numpy":
         result = np.fft.irfft(moved, n=n, axis=-1)
         if single:
-            result = result.astype(np.float32)
+            result = result.astype(np.float32, copy=False)
         if out_moved is not None:
             np.copyto(out_moved, result)
             return out

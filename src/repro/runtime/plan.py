@@ -12,12 +12,12 @@ Three compile-time choices shape the emitted ops:
 * **Precision** — every weight, bias, spectrum and work buffer is
   materialized at the dtypes of a
   :class:`~repro.precision.PrecisionPolicy`.  Under ``"fp32"`` the whole
-  hot path (im2col, rfft, complex GEMM, irfft, bias, activation) runs in
-  float32/complex64 with no silent upcast anywhere.
+  hot path (pad, rfft, spectral gather, complex GEMM, irfft, bias,
+  activation) runs in float32/complex64 with no silent upcast anywhere.
 * **Overlap-add conv tiling** (``conv_tile``) — block-circulant conv ops
   are emitted as streaming tiles of ``conv_tile`` output rows: each tile
   gathers only its own (overlapping) input slab, so peak memory is
-  bounded by the tile size instead of the full im2col matrix (the
+  bounded by the tile size instead of the full conv operand (the
   ROADMAP's overlap-add streaming item).
 * **Block-row sharding** (``row_shards``) — large block-circulant
   spectra (both
@@ -32,6 +32,14 @@ Three compile-time choices shape the emitted ops:
   process pool; the serial path runs the *same* shard closures in
   sequence and combines identically, so sharded and serial execution are
   bitwise-identical by construction.
+
+**Spectral-gather conv.**  Every ``bc_conv`` path builds its GEMM
+operand with :func:`~repro.structured.ops.block_circulant_conv_spectra`:
+each zero-padded input pixel's channel blocks are ``rfft``'d once and
+the ``k*k`` windows of that spectrum are gathered.  Paper Algorithm 1
+(like an im2col front end) transforms every im2col block, so the same
+operand, bitwise, costs about ``k*k / stride**2`` times fewer FFTs than
+:mod:`repro.embedded.cost_model` (which counts Algorithm 1's) charges.
 
 Fusion: every elementwise activation is folded into the producing compute
 op (``fusable`` ops), so the plan executes one closure per weight layer
@@ -59,6 +67,7 @@ import warnings
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..exceptions import DeploymentError
 from ..fft import irfft, rfft
@@ -87,7 +96,10 @@ from ..nn.layers import (
 )
 from ..nn.module import Sequential
 from ..precision import FP64, PrecisionPolicy
-from ..structured import block_circulant_forward_batch
+from ..structured import (
+    block_circulant_conv_spectra,
+    block_circulant_forward_batch,
+)
 from ..structured.spectral import freq_major
 
 __all__ = [
@@ -95,6 +107,7 @@ __all__ = [
     "compile_model_plan",
     "compile_records_plan",
     "fuse_plan",
+    "max_pool",
     "pool_windows",
     "softmax",
     "MIN_SHARD_BYTES",
@@ -130,12 +143,12 @@ def _fast_rfft(
     make, bitwise.
 
     At double precision the transform writes straight into the arena
-    slot passed as ``out``; single precision computes in double (as
-    ``numpy.fft`` always does) and casts, so the double-width
-    intermediate stays a short-lived temporary.
+    slot passed as ``out``; single precision casts with ``copy=False``:
+    a no-op on numpy >= 2, which transforms float32 natively to
+    complex64, and a narrowing of older numpy's double-precision result.
     """
     if single:
-        return np.fft.rfft(xb, axis=-1).astype(np.complex64)
+        return np.fft.rfft(xb, axis=-1).astype(np.complex64, copy=False)
     return np.fft.rfft(xb, axis=-1, out=out)
 
 
@@ -144,7 +157,8 @@ def _fast_irfft(
 ) -> np.ndarray:
     """numpy-backend irfft counterpart of :func:`_fast_rfft`."""
     if single:
-        return np.fft.irfft(y_spec, n=n, axis=-1).astype(np.float32)
+        out = np.fft.irfft(y_spec, n=n, axis=-1)
+        return out.astype(np.float32, copy=False)
     return np.fft.irfft(y_spec, n=n, axis=-1, out=out)
 
 #: Below this frequency-major spectra size, auto row-sharding is skipped:
@@ -190,6 +204,27 @@ def pool_windows(
     rows = base_r[:, None] + offset_r[None, :]
     cols = base_c[:, None] + offset_c[None, :]
     return x[:, :, rows, cols], out_h, out_w
+
+
+def max_pool(
+    x: np.ndarray, kernel: int, stride: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``(batch, C, H, W)`` max pooling over strided views, into ``out``.
+
+    The ``(0, 0)`` window view is copied, then the other ``k*k - 1``
+    views fold in with ``np.maximum(..., out=)`` — no window gather.
+    Max is exact, so this equals ``pool_windows(...)[0].max(-1)``
+    bitwise, ``NaN`` included.
+    """
+    windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]  # (batch, C, oh, ow, k, k)
+    if out is None:
+        out = np.empty(windows.shape[:4], dtype=x.dtype)
+    np.copyto(out, windows[..., 0, 0])
+    for i, j in itertools.product(range(kernel), repeat=2):
+        if i or j:
+            np.maximum(out, windows[..., i, j], out=out)
+    return out
 
 
 class PlanOp:
@@ -679,19 +714,24 @@ def _bc_conv_op(
         spectra_fm = freq_major(spectra)
     b = block_size
     k = kernel_size
-    padded_c = channel_blocks * b
     bias = None if bias is None else np.asarray(bias, dtype=rdtype)
 
-    def pad_blocks(cols: np.ndarray, batch: int, positions: int) -> np.ndarray:
-        """im2col columns -> channel-padded ``(batch*positions, q, b)``."""
-        by_pos = cols.reshape(batch, positions, in_channels, k * k).transpose(
-            0, 1, 3, 2
+    def spectral_operand(x: np.ndarray, pad: int = padding):
+        return block_circulant_conv_spectra(
+            x, k, stride, pad, b, channel_blocks
         )
-        if padded_c != in_channels:
-            padded = np.zeros((batch, positions, k * k, padded_c), dtype=rdtype)
-            padded[..., :in_channels] = by_pos
-            by_pos = padded
-        return by_pos.reshape(batch * positions, -1, b)
+
+    def freq_product(x_fm: np.ndarray, w_fm: np.ndarray) -> np.ndarray:
+        """Operand -> output blocks ``(rows, w_fm.shape[1], b)``."""
+        return irfft(np.matmul(w_fm, x_fm).transpose(2, 1, 0), n=b)
+
+    def to_nchw(
+        out_blocks: np.ndarray, batch: int, out_h: int, out_w: int
+    ) -> np.ndarray:
+        out = out_blocks.reshape(out_blocks.shape[0], -1)[:, :out_channels]
+        out = out.reshape(batch, out_h * out_w, out_channels)
+        out = out.transpose(0, 2, 1)
+        return out.reshape(batch, out_channels, out_h, out_w)
 
     name = f"bc_conv({in_channels}->{out_channels},k={k},b={b})"
     p = spectra.shape[0]
@@ -699,7 +739,7 @@ def _bc_conv_op(
     if bounds is not None and conv_tile is not None:
         warnings.warn(
             f"row_shards supersedes conv_tile for {name}: the sharded op "
-            "gathers its full im2col matrix in one shot (poolable "
+            "gathers its full spectral operand in one shot (poolable "
             "payload), so peak conv memory is no longer bounded by the "
             "tile; compile with row_shards=None to keep the memory bound",
             RuntimeWarning,
@@ -709,12 +749,12 @@ def _bc_conv_op(
         # Block-row-sharded conv: same partition of the block-row grid
         # as the linear case — each shard owns a contiguous copy of its
         # rows of the frequency-major spectra and turns the shared input
-        # spectrum into its slice of the output channels.  The im2col
-        # gather and the input rfft run once in `prepare`; `combine`
-        # reassembles the channel slices, adds bias and any fused
-        # activation.  Sharding targets many-core single-image latency,
-        # so it supersedes `conv_tile` memory tiling for this op (the
-        # one-shot im2col is the price of a poolable payload).
+        # operand into its slice of the output channels.  The spectral
+        # gather runs once in `prepare`; `combine` reassembles the
+        # channel slices, adds bias and any fused activation.  Sharding
+        # targets many-core single-image latency, so it supersedes
+        # `conv_tile` memory tiling for this op (the one-shot operand is
+        # the price of a poolable payload).
         #
         # `prepare` stashes the call's output geometry for `combine`;
         # both always run in the same process for one call at a time
@@ -723,26 +763,13 @@ def _bc_conv_op(
         geometry: dict[str, int] = {}
 
         def prepare(x: np.ndarray) -> np.ndarray:
-            batch, _, height, width = x.shape
-            out_h = (height + 2 * padding - k) // stride + 1
-            out_w = (width + 2 * padding - k) // stride + 1
-            geometry["batch"], geometry["out_h"], geometry["out_w"] = (
-                batch, out_h, out_w,
-            )
-            blocks = pad_blocks(
-                im2col(x, k, stride, padding), batch, out_h * out_w
-            )
-            # Frequency-major (nb, q, batch*positions): the GEMM operand.
-            return np.ascontiguousarray(rfft(blocks).transpose(2, 1, 0))
+            x_fm, geometry["out_h"], geometry["out_w"] = spectral_operand(x)
+            geometry["batch"] = x.shape[0]
+            return x_fm
 
         def make_shard(r0: int, r1: int):
             w_rows = np.ascontiguousarray(spectra_fm[:, r0:r1, :])
-
-            def shard(x_spec_fm: np.ndarray) -> np.ndarray:
-                y_spec = np.matmul(w_rows, x_spec_fm).transpose(2, 1, 0)
-                return irfft(y_spec, n=b)  # (batch*positions, r1-r0, b)
-
-            return shard
+            return lambda x_fm: freq_product(x_fm, w_rows)
 
         shard_fns = tuple(
             make_shard(int(r0), int(r1))
@@ -751,21 +778,17 @@ def _bc_conv_op(
         )
 
         def combine(parts: list[np.ndarray]) -> np.ndarray:
-            batch = geometry["batch"]
-            out_h, out_w = geometry["out_h"], geometry["out_w"]
-            out_blocks = np.concatenate(parts, axis=1)
-            out = out_blocks.reshape(out_blocks.shape[0], -1)[:, :out_channels]
-            out = out.reshape(batch, out_h * out_w, out_channels)
-            out = out.transpose(0, 2, 1).reshape(
-                batch, out_channels, out_h, out_w
+            out = to_nchw(
+                np.concatenate(parts, axis=1),
+                geometry["batch"], geometry["out_h"], geometry["out_w"],
             )
             if bias is not None:
                 out = out + bias[None, :, None, None]
             return out
 
         def sharded_fn(x: np.ndarray) -> np.ndarray:
-            x_spec_fm = prepare(x)
-            return combine([shard(x_spec_fm) for shard in shard_fns])
+            x_fm = prepare(x)
+            return combine([shard(x_fm) for shard in shard_fns])
 
         return PlanOp(
             f"{name}[rows/{len(shard_fns)}]",
@@ -776,44 +799,25 @@ def _bc_conv_op(
             combine=combine,
         )
 
-    def contract(cols: np.ndarray, batch: int, positions: int) -> np.ndarray:
-        """im2col columns -> ``(batch, positions, out_channels)``."""
-        blocks = pad_blocks(cols, batch, positions)
-        out = block_circulant_forward_batch(spectra, blocks, weight_fm=spectra_fm)
-        out = out.reshape(batch * positions, -1)[:, :out_channels]
-        return out.reshape(batch, positions, out_channels)
-
     def fn(x: np.ndarray) -> np.ndarray:
+        # Overlap-add streaming: each tile of `conv_tile` output rows
+        # gathers only its own input slab (slabs overlap by k - stride
+        # rows), bounding peak operand memory by the tile size.  Untiled
+        # is one tile of every output row.
         batch, _, height, width = x.shape
         out_h = (height + 2 * padding - k) // stride + 1
         out_w = (width + 2 * padding - k) // stride + 1
-        if conv_tile is None or conv_tile >= out_h:
-            out = contract(im2col(x, k, stride, padding), batch, out_h * out_w)
-            out = out.transpose(0, 2, 1).reshape(
-                batch, out_channels, out_h, out_w
+        tile = out_h if conv_tile is None else conv_tile
+        pads = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+        padded = np.pad(x, pads) if padding else x
+        out = np.empty((batch, out_channels, out_h, out_w), dtype=rdtype)
+        for r0 in range(0, out_h, tile):
+            r1 = min(r0 + tile, out_h)
+            slab = padded[:, :, r0 * stride : (r1 - 1) * stride + k, :]
+            x_fm, _, _ = spectral_operand(slab, 0)
+            out[:, :, r0:r1, :] = to_nchw(
+                freq_product(x_fm, spectra_fm), batch, r1 - r0, out_w
             )
-        else:
-            # Overlap-add streaming: each tile of `conv_tile` output rows
-            # gathers only its own input slab (slabs overlap by k - stride
-            # rows), bounding peak im2col memory by the tile size.
-            padded = (
-                np.pad(
-                    x,
-                    ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                )
-                if padding
-                else x
-            )
-            out = np.empty((batch, out_channels, out_h, out_w), dtype=rdtype)
-            for r0 in range(0, out_h, conv_tile):
-                r1 = min(r0 + conv_tile, out_h)
-                slab = padded[:, :, r0 * stride : (r1 - 1) * stride + k, :]
-                tile = contract(
-                    im2col(slab, k, stride, 0), batch, (r1 - r0) * out_w
-                )
-                out[:, :, r0:r1, :] = tile.transpose(0, 2, 1).reshape(
-                    batch, out_channels, r1 - r0, out_w
-                )
         if bias is not None:
             out = out + bias[None, :, None, None]
         return out
@@ -825,50 +829,27 @@ def _bc_conv_op(
         name = name[:-1] + f",tile={conv_tile})"
         return PlanOp(name, fn, fusable=True)
 
-    nb = spectra.shape[2]
+    nb, qc = spectra.shape[2], spectra.shape[1]
+    padded_c = channel_blocks * b
     tag = f"op{next(_OP_IDS)}.bcc"
-    k_pad, k_spec, k_xsfm, k_yfm, k_ysp, k_blk = (
-        tag + ".pad", tag + ".spec", tag + ".xsfm",
-        tag + ".yfm", tag + ".ysp", tag + ".blk",
+    k_pad, k_xsfm, k_yfm, k_ysp, k_blk = (
+        tag + ".pad", tag + ".xsfm", tag + ".yfm", tag + ".ysp", tag + ".blk",
     )
     single = np.dtype(cdtype) == np.complex64
 
     def ws_fn(x: np.ndarray, ws) -> np.ndarray:
         batch, _, height, width = x.shape
-        out_h = (height + 2 * padding - k) // stride + 1
-        out_w = (width + 2 * padding - k) // stride + 1
-        positions = out_h * out_w
-        cols = im2col(x, k, stride, padding)
-        by_pos = cols.reshape(batch, positions, in_channels, k * k).transpose(
-            0, 1, 3, 2
-        )
+        hp, wp = height + 2 * padding, width + 2 * padding
+        positions = ((hp - k) // stride + 1) * ((wp - k) // stride + 1)
         mrows = ws.bucket(batch) * positions
-        if padded_c != in_channels:
-            padded = ws.zeros(
-                k_pad,
-                (ws.bucket(batch), positions, k * k, padded_c),
-                rdtype,
-            )[:batch]
-            padded[..., :in_channels] = by_pos
-            by_pos = padded
-        blocks = by_pos.reshape(batch * positions, -1, b)
-        rows = blocks.shape[0]
-        qc = blocks.shape[1]
-        if _fft_writes_out():
-            x_spec = rfft(
-                blocks,
-                out=ws.get(k_spec, (mrows, qc, nb), cdtype)[:rows],
-            )
-        elif single:
-            x_spec = _fast_rfft(blocks, True)
-        else:
-            x_spec = _fast_rfft(
-                blocks,
-                False,
-                out=ws.get(k_spec, (mrows, qc, nb), cdtype)[:rows],
-            )
-        xs_fm = ws.get(k_xsfm, (nb, qc, mrows), cdtype)[..., :rows]
-        np.copyto(xs_fm, x_spec.transpose(2, 1, 0))
+        # Zero-once pad slot: the border and the channel padding are
+        # zeroed at allocation and never written again.
+        padded = ws.zeros(k_pad, (ws.bucket(batch), hp, wp, padded_c), rdtype)
+        xs_fm, out_h, out_w = block_circulant_conv_spectra(
+            x, k, stride, padding, b, channel_blocks, padded=padded,
+            out=ws.get(k_xsfm, (nb, qc, mrows), cdtype),
+        )
+        rows = batch * positions
         y_fm = np.matmul(
             spectra_fm,
             xs_fm,
@@ -877,9 +858,7 @@ def _bc_conv_op(
         y_spec = y_fm.transpose(2, 1, 0)
         if _fft_writes_out():
             out_blocks = irfft(
-                y_spec,
-                n=b,
-                out=ws.get(k_blk, (mrows, p, b), rdtype)[:rows],
+                y_spec, n=b, out=ws.get(k_blk, (mrows, p, b), rdtype)[:rows]
             )
         elif single:
             out_blocks = _fast_irfft(y_spec, b, True)
@@ -889,14 +868,9 @@ def _bc_conv_op(
             y_stage = ws.get(k_ysp, (mrows, p, nb), cdtype)[:rows]
             np.copyto(y_stage, y_spec)
             out_blocks = _fast_irfft(
-                y_stage,
-                b,
-                False,
-                out=ws.get(k_blk, (mrows, p, b), rdtype)[:rows],
+                y_stage, b, False, out=ws.get(k_blk, (mrows, p, b), rdtype)[:rows]
             )
-        out = out_blocks.reshape(rows, -1)[:, :out_channels]
-        out = out.reshape(batch, positions, out_channels)
-        out = out.transpose(0, 2, 1).reshape(batch, out_channels, out_h, out_w)
+        out = to_nchw(out_blocks, batch, out_h, out_w)
         if bias is not None:
             out += bias[None, :, None, None]
         return out
@@ -952,23 +926,24 @@ def _affine_op(
 
 
 def _maxpool_op(kernel: int, stride: int) -> PlanOp:
-    def fn(x: np.ndarray) -> np.ndarray:
-        windows, out_h, out_w = pool_windows(x, kernel, stride)
-        return windows.max(axis=-1).reshape(x.shape[0], x.shape[1], out_h, out_w)
-
     tag = f"op{next(_OP_IDS)}.maxp"
 
     def ws_fn(x: np.ndarray, ws) -> np.ndarray:
-        windows, out_h, out_w = pool_windows(x, kernel, stride)
-        batch, chans = x.shape[0], x.shape[1]
-        m = ws.bucket(batch)
-        buf = ws.get(f"{tag}.out", (m, chans, out_h * out_w), x.dtype)[:batch]
-        windows.max(axis=-1, out=buf)
-        return buf.reshape(batch, chans, out_h, out_w)
+        batch, chans, height, width = x.shape
+        shape = (ws.bucket(batch), chans) + tuple(
+            (n - kernel) // stride + 1 for n in (height, width)
+        )
+        buf = ws.get(f"{tag}.out", shape, x.dtype)[:batch]
+        return max_pool(x, kernel, stride, out=buf)
 
     # fusable: a pool owns its output buffer, so a folded successor
     # (flatten, activation) may reshape or mutate it freely.
-    return PlanOp(f"maxpool(k={kernel})", fn, fusable=True, ws_fn=ws_fn)
+    return PlanOp(
+        f"maxpool(k={kernel})",
+        lambda x: max_pool(x, kernel, stride),
+        fusable=True,
+        ws_fn=ws_fn,
+    )
 
 
 def _avgpool_op(kernel: int, stride: int) -> PlanOp:

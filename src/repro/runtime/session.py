@@ -80,6 +80,7 @@ from .plan import (
     compile_model_plan,
     compile_records_plan,
     fuse_plan,
+    max_pool,
     pool_windows,
     softmax,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "PlanOp",
     "Workspace",
     "iter_batches",
+    "max_pool",
     "pool_windows",
     "softmax",
 ]

@@ -13,6 +13,7 @@ from .circulant import CirculantMatrix
 from .ops import (
     block_circulant_backward_batch,
     block_circulant_backward_batch_einsum,
+    block_circulant_conv_spectra,
     block_circulant_forward_batch,
     block_circulant_forward_batch_einsum,
     block_circulant_matvec,
@@ -41,6 +42,7 @@ __all__ = [
     "block_circulant_matvec",
     "block_circulant_transpose_matvec",
     "block_circulant_forward_batch",
+    "block_circulant_conv_spectra",
     "block_circulant_forward_batch_einsum",
     "block_circulant_backward_batch",
     "block_circulant_backward_batch_einsum",

@@ -39,6 +39,7 @@ operands in single precision — the frozen runtime's plan compiler does.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..fft import circular_convolve, circular_correlate, irfft, rfft
 
@@ -51,6 +52,7 @@ __all__ = [
     "block_circulant_matvec",
     "block_circulant_transpose_matvec",
     "block_circulant_forward_batch",
+    "block_circulant_conv_spectra",
     "block_circulant_forward_batch_einsum",
     "block_circulant_backward_batch",
     "block_circulant_backward_batch_einsum",
@@ -235,6 +237,56 @@ def block_circulant_forward_batch(
         y_fm = np.matmul(w_f, x_spec.transpose(2, 1, 0))
     y_spec = y_fm.transpose(2, 1, 0)
     return irfft(y_spec, n=b, out=out)
+
+
+def block_circulant_conv_spectra(
+    x: np.ndarray,
+    kernel: int,
+    stride: int,
+    padding: int,
+    block_size: int,
+    channel_blocks: int,
+    padded: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, int, int]:
+    """GEMM operand of a block-circulant conv, one FFT per input pixel.
+
+    Returns ``(x_fm, out_h, out_w)`` for ``(batch, C, H, W)`` input:
+    ``x_fm`` is the frequency-major ``(nb, k*k*channel_blocks,
+    batch*out_h*out_w)`` operand of ``weight_fm @ x_fm``, bitwise equal
+    to ``rfft`` of the channel-padded im2col blocks, but each pixel's
+    ``b``-channel blocks are transformed once and the k*k windows of
+    that *spectrum* are gathered, instead of transforming every window.
+
+    Optional caller-owned buffers: ``padded`` ``(m, H+2p, W+2p,
+    channel_blocks*b)`` with ``m >= batch``, zero outside the interior,
+    and C-contiguous ``out`` ``(nb, k*k*channel_blocks, m*out_h*out_w)``.
+    Only ``padded``'s interior and ``out``'s leading columns for
+    ``batch`` images are written, so zero-once slots stay valid.
+    """
+    batch, chans, height, width = x.shape
+    b, k, cb = block_size, kernel, channel_blocks
+    hp, wp = height + 2 * padding, width + 2 * padding
+    out_h, out_w = (hp - k) // stride + 1, (wp - k) // stride + 1
+    if padded is None:
+        padded = np.zeros((batch, hp, wp, cb * b), dtype=x.dtype)
+    rows = slice(padding, padding + height)
+    cols = slice(padding, padding + width)
+    np.copyto(padded[:batch, rows, cols, :chans], x.transpose(0, 2, 3, 1))
+    # rfft writes its bins frequency-major, (nb, cb, batch, hp, wp), so
+    # the window gather below copies whole image rows.
+    cdtype = np.result_type(padded.dtype, np.complex64)
+    spec = np.empty((b // 2 + 1, cb, batch, hp, wp), dtype=cdtype)
+    blocks = padded[:batch].reshape(batch, hp, wp, cb, b)
+    rfft(blocks, out=spec.transpose(2, 3, 4, 1, 0))
+    # (nb, cb, batch, out_h, out_w, k, k): the windows on the output grid.
+    windows = sliding_window_view(spec, (k, k), axis=(3, 4))
+    windows = windows[..., ::stride, ::stride, :, :]
+    if out is None:
+        out = np.empty((b // 2 + 1, k * k * cb, batch * out_h * out_w), cdtype)
+    grid = out.reshape(b // 2 + 1, k, k, cb, -1, out_h, out_w)
+    np.copyto(grid[..., :batch, :, :], windows.transpose(0, 5, 6, 1, 2, 3, 4))
+    return out[..., : batch * out_h * out_w], out_h, out_w
 
 
 def block_circulant_forward_batch_einsum(

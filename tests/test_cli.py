@@ -124,14 +124,15 @@ class TestWorkersFallback:
     def test_single_cpu_host_warns_and_runs_serial(
         self, data_files, trained_checkpoint, capsys, monkeypatch
     ):
-        import os
+        import repro.runtime.executors as executors_mod
 
         root, _, test_path = data_files
         artifact = root / "model_workers.npz"
         main(["deploy", ARCH, "--weights", str(trained_checkpoint),
               "--out", str(artifact)])
         capsys.readouterr()
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        # The clamp reads the schedulable core count, not os.cpu_count.
+        monkeypatch.setattr(executors_mod, "effective_cpu_count", lambda: 1)
         assert main([
             "predict", str(artifact), "--data", str(test_path),
             "--workers", "4",
